@@ -13,10 +13,9 @@ from repro.net import (
     MobileDevice,
     UntrustedChannel,
     WebServer,
-    login,
-    register_device,
     transfer_identity,
     reset_identity,
+    TrustClient,
 )
 from .conftest import emit
 
@@ -26,8 +25,8 @@ def test_reset_transfer(benchmark, rng):
     server = WebServer("www.e13.example", world.ca, b"e13-server")
     server.create_account("alice", "fallback-password")
     channel = UntrustedChannel()
-    outcome = register_device(world.device, server, channel, "alice",
-                              LOGIN_BUTTON_XY, world.user_master, rng)
+    outcome = TrustClient(world.device, server, channel).register(
+        "alice", LOGIN_BUTTON_XY, world.user_master, rng)
     assert outcome.success, outcome.reason
 
     rows = []
@@ -46,8 +45,8 @@ def test_reset_transfer(benchmark, rng):
     rows.append(["domains transferred", len(transferred)])
     rows.append(["encrypted bundle size", f"{bundle_size} B"])
 
-    new_login = login(new_device, server, channel, "alice", LOGIN_BUTTON_XY,
-                      world.user_master, rng)
+    new_login = TrustClient(new_device, server, channel).login(
+        "alice", LOGIN_BUTTON_XY, world.user_master, rng)
     rows.append(["new device logs in after transfer", new_login.reason])
     new_device.flock.close_session(server.domain)
 
@@ -55,14 +54,14 @@ def test_reset_transfer(benchmark, rng):
     assert reset_identity(server, "alice", "fallback-password")
     rows.append(["binding removed by password reset",
                  server.account_key("alice") is None])
-    old_login = login(world.device, server, channel, "alice",
-                      LOGIN_BUTTON_XY, world.user_master, rng)
+    old_login = TrustClient(world.device, server, channel).login(
+        "alice", LOGIN_BUTTON_XY, world.user_master, rng)
     rows.append(["old device login after reset", old_login.reason])
 
     # Rebind from the new device (fresh Fig. 9 run).
     new_device.flock.unbind_service(server.domain)
-    rebind = register_device(new_device, server, channel, "alice",
-                             LOGIN_BUTTON_XY, world.user_master, rng)
+    rebind = TrustClient(new_device, server, channel).register(
+        "alice", LOGIN_BUTTON_XY, world.user_master, rng)
     rows.append(["re-registration from new device", rebind.reason])
 
     table = render_table(["step", "result"], rows,

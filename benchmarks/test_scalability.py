@@ -15,11 +15,9 @@ from repro.eval import render_table
 from repro.fingerprint import DEFAULT_PARTIAL_MODEL, enroll_master, synthesize_master
 from repro.net import (
     MobileDevice,
+    TrustClient,
     UntrustedChannel,
     WebServer,
-    login,
-    register_device,
-    session_request,
 )
 from .conftest import emit
 
@@ -44,16 +42,15 @@ def test_scalability(benchmark, rng):
                               processor_mode="modeled")
         device.flock.enroll_local_user(template,
                                        score_model=DEFAULT_PARTIAL_MODEL)
-        outcome = register_device(device, server, channel, account,
-                                  BUTTON_XY, master,
-                                  np.random.default_rng(700 + index))
+        outcome = TrustClient(device, server, channel).register(
+            account, BUTTON_XY, master, np.random.default_rng(700 + index))
         assert outcome.success, outcome.reason
         devices.append((account, device))
 
     sessions = []
     for index, (account, device) in enumerate(devices):
-        outcome = login(device, server, channel, account, BUTTON_XY, master,
-                        np.random.default_rng(800 + index))
+        outcome = TrustClient(device, server, channel).login(
+            account, BUTTON_XY, master, np.random.default_rng(800 + index))
         assert outcome.success, outcome.reason
         sessions.append((device, outcome.session))
     assert server.active_sessions == N_DEVICES
@@ -62,8 +59,8 @@ def test_scalability(benchmark, rng):
         served = 0
         for round_index in range(REQUESTS_PER_SESSION):
             for device, session in sessions:
-                result = session_request(device, server, channel, session,
-                                         risk=0.05, rng=rng)
+                result = TrustClient(device, server, channel).request(
+                    session, risk=0.05, rng=rng)
                 assert result.success, result.reason
                 served += 1
         return served

@@ -488,10 +488,6 @@ class AnalysisConfig:
         """Does a call to ``name`` declassify timing taint?"""
         return _match(name.lower(), self.sc_declassifiers)
 
-    def in_sc_modpow_boundary(self, qualname: str) -> bool:
-        """Is ``qualname`` inside the audited variable-time boundary?"""
-        return qualname in self.sc_modpow_boundary
-
     # --------------------------------------------------- contract matching
     def in_contract_server_module(self, module: str) -> bool:
         """Does ``module`` hold the server side of the wire protocol?"""

@@ -149,35 +149,20 @@ def _scan_worker(payload: tuple[str, str, AnalysisConfig]) -> dict:
             "suppressed": suppressed}
 
 
-def _det_worker(conn, contexts: list[ModuleContext],
-                config: AnalysisConfig) -> None:
-    """Forked child: run the determinism pass, ship findings back.
+def _stage_worker(conn, run_pass, contexts: list[ModuleContext],
+                  config: AnalysisConfig) -> None:
+    """Forked child: run one project pass, ship findings back.
 
-    Only ever started via the ``fork`` start method, so ``contexts``
-    arrives through copy-on-write memory, not pickling; the findings go
-    back over the pipe (they are small, plain dataclasses).
+    Only ever started via the ``fork`` start method, so ``run_pass`` and
+    ``contexts`` arrive through copy-on-write memory, not pickling; the
+    findings go back over the pipe (they are small, plain dataclasses).
     """
-    from .determinism import run_det
     try:
         started = time.perf_counter()
-        findings = run_det(contexts, config)
+        findings = run_pass(contexts, config)
         conn.send(("ok", findings, time.perf_counter() - started))
     # Crash shield: the error is surfaced to the parent, which re-runs
     # the pass inline to attribute the failure.
-    except BaseException as exc:  # trust-lint: disable=RB301
-        conn.send(("error", f"{type(exc).__name__}: {exc}", 0.0))
-    finally:
-        conn.close()
-
-
-def _sc_worker(conn, contexts: list[ModuleContext],
-               config: AnalysisConfig) -> None:
-    """Forked child: run the side-channel pass, ship findings back."""
-    from .sidechannel import run_sc
-    try:
-        started = time.perf_counter()
-        findings = run_sc(contexts, config)
-        conn.send(("ok", findings, time.perf_counter() - started))
     except BaseException as exc:  # trust-lint: disable=RB301
         conn.send(("error", f"{type(exc).__name__}: {exc}", 0.0))
     finally:
@@ -245,26 +230,45 @@ def analyze_paths(paths: list[Path] | list[str],
     can_fork = (taint and len(file_paths) >= _PARALLEL_THRESHOLD
                 and (os.cpu_count() or 1) >= 2
                 and "fork" in multiprocessing.get_all_start_methods())
-    det_proc = None
-    det_conn = None
-    sc_proc = None
-    sc_conn = None
-    if can_fork and det:
+    forkable = {}
+    if det:
+        from .determinism import run_det
+        forkable["det"] = run_det
+    if sc:
+        from .sidechannel import run_sc
+        forkable["sc"] = run_sc
+    forked = {}
+    if can_fork:
         mp = multiprocessing.get_context("fork")
-        det_conn, child_conn = mp.Pipe(duplex=False)
-        det_proc = mp.Process(target=_det_worker,
-                              args=(child_conn, contexts, config),
+        for stage, run_pass in forkable.items():
+            parent_conn, child_conn = mp.Pipe(duplex=False)
+            proc = mp.Process(target=_stage_worker,
+                              args=(child_conn, run_pass, contexts, config),
                               daemon=True)
-        det_proc.start()
-        child_conn.close()
-    if can_fork and sc:
-        mp = multiprocessing.get_context("fork")
-        sc_conn, child_conn = mp.Pipe(duplex=False)
-        sc_proc = mp.Process(target=_sc_worker,
-                             args=(child_conn, contexts, config),
-                             daemon=True)
-        sc_proc.start()
-        child_conn.close()
+            proc.start()
+            child_conn.close()
+            forked[stage] = (proc, parent_conn)
+
+    def forked_stage(stage: str, index) -> list[Finding]:
+        """Collect a forked pass's findings, or re-run it inline when it
+        was never forked, failed, or its child died."""
+        started = time.perf_counter()
+        findings: list[Finding] | None = None
+        elapsed = 0.0
+        if stage in forked:
+            proc, conn = forked[stage]
+            try:
+                status, payload, elapsed = conn.recv()
+                if status == "ok":
+                    findings = payload
+            except EOFError:
+                pass  # child died: re-run inline
+            proc.join()
+        if findings is None:
+            findings = forkable[stage](contexts, config, index=index)
+            elapsed = time.perf_counter() - started
+        report.stage_stats[stage] = {"elapsed_s": elapsed}
+        return findings
 
     def project_passes() -> list[Finding]:
         found: list[Finding] = []
@@ -279,24 +283,8 @@ def analyze_paths(paths: list[Path] | list[str],
             report.stage_stats["taint"] = {
                 "elapsed_s": time.perf_counter() - started}
         if det:
-            started = time.perf_counter()
-            det_findings: list[Finding] | None = None
-            det_elapsed = 0.0
-            if det_proc is not None:
-                try:
-                    status, payload, det_elapsed = det_conn.recv()
-                    if status == "ok":
-                        det_findings = payload
-                except EOFError:
-                    det_findings = None  # child died: re-run inline
-                det_proc.join()
-            if det_findings is None:
-                from .determinism import run_det
-                det_findings = run_det(contexts, config, index=index)
-                det_elapsed = time.perf_counter() - started
-            found.extend(det_findings)
+            found.extend(forked_stage("det", index))
             report.det_ran = True
-            report.stage_stats["det"] = {"elapsed_s": det_elapsed}
         if contract:
             started = time.perf_counter()
             from .contract import run_contract
@@ -308,24 +296,8 @@ def analyze_paths(paths: list[Path] | list[str],
             report.stage_stats["contract"] = {
                 "elapsed_s": time.perf_counter() - started}
         if sc:
-            started = time.perf_counter()
-            sc_findings: list[Finding] | None = None
-            sc_elapsed = 0.0
-            if sc_proc is not None:
-                try:
-                    status, payload, sc_elapsed = sc_conn.recv()
-                    if status == "ok":
-                        sc_findings = payload
-                except EOFError:
-                    sc_findings = None  # child died: re-run inline
-                sc_proc.join()
-            if sc_findings is None:
-                from .sidechannel import run_sc
-                sc_findings = run_sc(contexts, config, index=index)
-                sc_elapsed = time.perf_counter() - started
-            found.extend(sc_findings)
+            found.extend(forked_stage("sc", index))
             report.sc_ran = True
-            report.stage_stats["sc"] = {"elapsed_s": sc_elapsed}
         return found
 
     interproc: list[Finding] | None = None

@@ -11,9 +11,9 @@ a drop.  Its knowledge set is the closure of the pool (see
 ``properties.close_knowledge``).
 
 Honest protocol runs are *atomic* transitions mirroring the synchronous
-orchestration functions in ``repro.net.protocol`` (one transition =
-one ``login(...)`` call, including the device-side cleanup its failure
-paths perform).  Interrupted variants model the adversary dropping the
+``TrustClient`` methods in ``repro.net.protocol`` (one transition = one
+``TrustClient.login(...)`` call, including the device-side cleanup its
+failure paths perform).  Interrupted variants model the adversary dropping the
 uplink mid-run.  This keeps the interleaving explosion bounded while
 the recorded messages still give the adversary every replay
 opportunity the fully asynchronous system would.
@@ -57,11 +57,6 @@ def dev_sk(name: str) -> tuple:
 
 def dev_pk(name: str) -> tuple:
     return ("devcert", name, "pk")
-
-
-def svc_sk(name: str) -> tuple:
-    """The per-service signing key a device mints at registration."""
-    return ("svc", name, "sk")
 
 
 def svc_pk(name: str) -> tuple:
@@ -864,7 +859,7 @@ class Scenario:
     """One verification entry point: start state + allowed actions."""
 
     name: str
-    entry: str          # the repro.net function this scenario enters at
+    entry: str          # the repro.net callable this scenario enters at
     description: str
     devices: tuple
     setup: tuple        # honest steps applied (unmutated) to build state
@@ -873,20 +868,20 @@ class Scenario:
 
 
 SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
-    Scenario("register", "register_device",
+    Scenario("register", "TrustClient.register",
              "Fig. 9 binding from a blank device",
              ("A",), (),
              frozenset({"register"}), (RISK_OK,)),
-    Scenario("login", "login",
+    Scenario("login", "TrustClient.login",
              "Fig. 10 login against a bound account",
              ("A",), ("register:A",),
              frozenset({"login", "request"}), (RISK_OK, RISK_TERMINATE)),
-    Scenario("session", "session_request",
+    Scenario("session", "TrustClient.request",
              "post-login continuous requests at every risk level",
              ("A",), ("register:A", "login:A"),
              frozenset({"request", "answer"}),
              (RISK_OK, RISK_CHALLENGE, RISK_TERMINATE)),
-    Scenario("challenge", "answer_challenge",
+    Scenario("challenge", "TrustClient.answer_challenge",
              "a pending re-authentication challenge",
              ("A",), ("register:A", "login:A", "challenge:A"),
              frozenset({"request", "answer"}),

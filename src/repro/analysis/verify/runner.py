@@ -35,10 +35,10 @@ _RULE_ANCHORS = {
 #: Where each transition kind's trace hops point.
 _KIND_ANCHORS = {
     "init": ("repro/analysis/verify/model.py", "build_world"),
-    "register": ("repro/net/protocol.py", "register_device"),
-    "login": ("repro/net/protocol.py", "login"),
-    "request": ("repro/net/protocol.py", "session_request"),
-    "answer": ("repro/net/protocol.py", "answer_challenge"),
+    "register": ("repro/net/protocol.py", "TrustClient.register"),
+    "login": ("repro/net/protocol.py", "TrustClient.login"),
+    "request": ("repro/net/protocol.py", "TrustClient.request"),
+    "answer": ("repro/net/protocol.py", "TrustClient.answer_challenge"),
     "reset": ("repro/net/webserver.py", "reset_identity"),
     "transfer": ("repro/net/reset_transfer.py", "transfer_identity"),
     "adv-register": ("repro/net/webserver.py", "_serve_registration"),
@@ -54,6 +54,23 @@ _SRC_ROOT = Path(__file__).resolve().parents[3]
 _anchor_cache: dict[tuple[str, str], tuple[str, str, int, str]] = {}
 
 
+def _find_def(tree: ast.Module, func: str) -> ast.AST | None:
+    """The def named ``func`` (``Class.method`` for a method)."""
+    *owner, name = func.split(".")
+    scope: ast.AST = tree
+    if owner:
+        scope = next((node for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == owner[0]), None)
+        if scope is None:
+            return None
+    for node in ast.walk(scope):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == name):
+            return node
+    return None
+
+
 def _anchor(rel: str, func: str) -> tuple[str, str, int, str]:
     """(display_path, module, line, source_line) for a function def."""
     slot = (rel, func)
@@ -66,14 +83,10 @@ def _anchor(rel: str, func: str) -> tuple[str, str, int, str]:
     line, text = 1, ""
     try:
         source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source)
-        lines = source.splitlines()
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == func):
-                line = node.lineno
-                text = lines[line - 1] if line <= len(lines) else ""
-                break
+        node = _find_def(ast.parse(source), func)
+        if node is not None:
+            line = node.lineno
+            text = source.splitlines()[line - 1]
     except (OSError, SyntaxError):  # pragma: no cover - source moved
         display = f"<{module}>"
     result = (display, module, line, text)

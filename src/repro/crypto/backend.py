@@ -7,7 +7,7 @@ rounds, the class-based HMAC, per-call CRT recomputation) and therefore
 serves as the executable specification.  :class:`AcceleratedBackend`
 reimplements the hot paths (stdlib ``hashlib``/``hmac`` digests, cached
 CRT parameters, a branchless Montgomery ladder for private-key
-decryption, block-precomputed DRBG/ChaCha20 keystreams) and is pinned
+decryption, whole-block DRBG/ChaCha20 keystreams) and is pinned
 byte-identical to the reference by the cross-backend equivalence suite:
 same DRBG stream, same signatures, same envelopes, same transcripts.
 
@@ -304,14 +304,8 @@ class AcceleratedBackend(CryptoBackend):
 
     name = "accelerated"
 
-    #: ChaCha20 keystream-block memo size (64-byte blocks).  Device and
-    #: server run in one process here, so the decrypt side replays the
-    #: encrypt side's blocks out of the memo.
-    CHACHA_CACHE_BLOCKS = 256
-
     def __init__(self) -> None:
         self._crt_cache: dict[RsaPrivateKey, tuple[int, int, int]] = {}
-        self._chacha_cache: dict[tuple[bytes, bytes, int], bytes] = {}
         try:
             _hashlib.md5()
             self._md5 = _hashlib.md5
@@ -440,17 +434,8 @@ class AcceleratedBackend(CryptoBackend):
     # -------------------------------------------------------------- stream
     def chacha20_xor(self, key: bytes, nonce: bytes, data: bytes,
                      initial_counter: int = 1) -> bytes:
-        cache = self._chacha_cache
-        blocks = []
-        for block_index in range((len(data) + 63) // 64):
-            slot = (key, nonce, initial_counter + block_index)
-            keystream = cache.get(slot)
-            if keystream is None:
-                keystream = chacha20_block(key, slot[2], nonce)
-                if len(cache) >= self.CHACHA_CACHE_BLOCKS:
-                    cache.pop(next(iter(cache)))
-                cache[slot] = keystream
-            blocks.append(keystream)
+        blocks = [chacha20_block(key, initial_counter + block_index, nonce)
+                  for block_index in range((len(data) + 63) // 64)]
         # join/from_bytes degrade gracefully to b"" for empty input — no
         # data-dependent early exit needed.
         keystream = b"".join(blocks)[:len(data)]

@@ -45,10 +45,6 @@ _H0 = (
 _MASK = 0xFFFFFFFF
 
 
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK
-
-
 class SHA256:
     """Incremental SHA-256 with the familiar ``update``/``digest`` API."""
 

@@ -37,10 +37,6 @@ class Minutia:
     direction: float  # [0, 2*pi)
     kind: str  # ENDING or BIFURCATION
 
-    def as_array(self) -> np.ndarray:
-        """The minutia as a [row, col, direction] float array."""
-        return np.array([self.row, self.col, self.direction], dtype=np.float64)
-
     def __copy__(self) -> "Minutia":
         # Frozen ⇒ value-immutable: device cloning (the fleet factory
         # deepcopies whole enrolled devices) may share minutiae freely.

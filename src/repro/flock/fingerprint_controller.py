@@ -154,10 +154,3 @@ class FingerprintController:
             capture_time_s=hardware.time_s,
             touch=touch,
         )
-
-    @property
-    def capture_opportunity_rate(self) -> float:
-        """Fraction of routed touches that landed on a sensor."""
-        if self.touches_routed == 0:
-            return 0.0
-        return self.touches_captured / self.touches_routed

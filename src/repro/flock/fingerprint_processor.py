@@ -83,11 +83,6 @@ class AuthDecision:
     accepted: bool
     processing_time_s: float
 
-    @property
-    def contributed(self) -> bool:
-        """Did this capture reach the matcher (i.e. count toward risk)?"""
-        return self.quality_ok
-
 
 class ImageFingerprintProcessor:
     """Full-pipeline processor matching against the enrolled template set.

@@ -151,11 +151,6 @@ class FlockModule:
                 template.finger_id, score_model, **kwargs)
         self._local_processor.obs = self._obs
 
-    @property
-    def is_enrolled(self) -> bool:
-        """Whether a local user template is enrolled."""
-        return self._local_processor is not None
-
     def install_verification_cache(self, cache) -> None:
         """Attach a duck-typed match-score memoizer to the local processor.
 

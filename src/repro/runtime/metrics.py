@@ -131,12 +131,6 @@ class FleetMetrics:
             return 0.0
         return self.interactions / self.horizon_s
 
-    def outcome_rows(self) -> list[tuple[str, str, int]]:
-        """Sorted ``(op, reason, count)`` rows for rendering."""
-        outcomes = self.outcomes
-        return [(op, reason, outcomes[(op, reason)])
-                for op, reason in sorted(outcomes)]
-
     def latency_rows(self) -> list[tuple[str, int, float, float, float]]:
         """Sorted ``(op, count, mean_s, p50_s, p99_s)`` rows."""
         return [(op, hist.count, hist.mean, hist.percentile(50),

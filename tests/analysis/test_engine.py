@@ -258,3 +258,57 @@ class TestWorkerRobustness:
         report = analyze_paths([tmp_path], jobs=2)
         assert not report.parse_errors
         assert any(f.rule == "CD201" for f in report.findings)
+
+    def _forkable_tree(self, tmp_path):
+        """Enough files to fork the det/sc passes, one finding each."""
+        for index in range(24):
+            _write_pkg(tmp_path, "repro.util", f"filler{index}", "x = 1\n")
+        _write_pkg(tmp_path, "repro.runtime", "clock", """
+            import time
+
+            def stamp():
+                return time.time()
+        """)
+        _write_pkg(tmp_path, "repro.crypto", "route", """
+            def route(session_key):
+                if session_key:
+                    return 1
+                return 0
+        """)
+
+    @pytest.mark.parametrize("child_dies", [False, True])
+    def test_forked_stages_match_inline_run(self, tmp_path, monkeypatch,
+                                            child_dies):
+        import os
+
+        from repro.analysis import engine
+
+        tree, markers = tmp_path / "tree", tmp_path / "markers"
+        tree.mkdir()
+        markers.mkdir()
+        self._forkable_tree(tree)
+        inline = analyze_paths([tree], taint=True, det=True, sc=True,
+                               jobs=1)
+        assert {"DT601", "SC800"} <= {f.rule for f in inline.findings}
+
+        parent = os.getpid()
+        real_worker = engine._stage_worker
+
+        def worker(conn, run_pass, contexts, config):
+            (markers / run_pass.__name__).write_text(
+                str(os.getpid() != parent))
+            if child_dies:
+                os._exit(1)  # no reply: the parent must re-run inline
+            real_worker(conn, run_pass, contexts, config)
+
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_stage_worker", worker)
+        forked = analyze_paths([tree], taint=True, det=True, sc=True,
+                               jobs=1)
+        # Both passes ran in forked children...
+        assert {p.name: p.read_text() for p in markers.iterdir()} \
+            == {"run_det": "True", "run_sc": "True"}
+        # ...and the parent's report is the inline one either way.
+        assert forked.findings == inline.findings
+        assert forked.det_ran and forked.sc_ran
+        assert set(forked.stage_stats) == set(inline.stage_stats)

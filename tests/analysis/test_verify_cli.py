@@ -8,12 +8,27 @@ import textwrap
 import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.verify.runner import _KIND_ANCHORS, _RULE_ANCHORS, _anchor
 
 #: A broken-variant invocation that finds PV402+PV403 within depth 4.
 _MUTATED = ["verify", "--no-config", "--depth", "4", "--entry", "login",
             "--mutate", "skip-login-signature-check"]
 #: A clean invocation kept cheap for the test suite.
 _CLEAN = ["verify", "--no-config", "--depth", "4"]
+
+
+_ANCHORS = sorted(set(_RULE_ANCHORS.values()) | set(_KIND_ANCHORS.values()))
+
+
+class TestTraceAnchors:
+    @pytest.mark.parametrize("rel,func", _ANCHORS)
+    def test_anchor_resolves_to_a_real_def(self, rel, func):
+        # _anchor falls back to line 1 when the def is gone, so a renamed
+        # or deleted handler would otherwise leave traces pointing nowhere.
+        display, _module, line, text = _anchor(rel, func)
+        assert display == f"src/{rel}"
+        assert line > 1
+        assert f"def {func.rsplit('.', 1)[-1]}(" in text
 
 
 class TestVerifySubcommand:

@@ -21,6 +21,9 @@ Full-system reproduction of Feng, Liu, Carbunar, Boumber & Shi (2012):
 - :mod:`repro.attacks` — the adversary library;
 - :mod:`repro.eval` — metrics, reporting, experiment harness.
 
+``import repro`` loads none of these; import the subpackage you use, as
+the quickstart does.
+
 Quickstart::
 
     from repro.eval import standard_deployment, LOGIN_BUTTON_XY
@@ -35,21 +38,3 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-from . import (  # noqa: F401
-    attacks,
-    baselines,
-    core,
-    crypto,
-    eval,
-    fingerprint,
-    flock,
-    hardware,
-    net,
-    touchgen,
-)
-
-__all__ = [
-    "core", "flock", "hardware", "fingerprint", "net", "crypto",
-    "touchgen", "baselines", "attacks", "eval", "__version__",
-]

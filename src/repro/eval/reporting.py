@@ -9,42 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.export import render_table
+
 __all__ = ["render_table", "render_density", "render_series", "format_si"]
-
-
-def render_table(headers: list[str], rows: list[list],
-                 title: str = "") -> str:
-    """Render an aligned monospace table; cells are str()-ed."""
-    if not headers:
-        raise ValueError("need at least one column")
-    str_rows = [[_cell(value) for value in row] for row in rows]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError("row width does not match headers")
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in str_rows)) if str_rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    header_line = " | ".join(h.ljust(w) for h, w in zip(headers, widths))
-    lines.append(header_line)
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.001:
-            return f"{value:.3g}"
-        return f"{value:.3f}".rstrip("0").rstrip(".")
-    return str(value)
 
 
 #: Density shade ramp, light to dark.

@@ -38,6 +38,7 @@ from .export import (
     render_metrics_json,
     render_metrics_prometheus,
     render_metrics_text,
+    render_table,
     render_trace_json,
     render_trace_text,
     trace_roots,
@@ -64,4 +65,5 @@ __all__ = [
     "render_metrics_text",
     "render_metrics_json",
     "render_metrics_prometheus",
+    "render_table",
 ]

@@ -6,6 +6,9 @@ Three formats, all renderer-pure (no I/O, no wall clock, fully sorted):
 - JSON: ``sort_keys`` documents for golden-file diffing and tooling,
 - Prometheus-style exposition text for the metrics registry.
 
+``render_table`` is the shared aligned-table renderer behind the fleet
+report and the benchmark tables (re-exported by ``repro.eval``).
+
 Two runs of the same seeded scenario must render byte-identical output in
 every format; the trace-export smoke in CI diffs exactly that.
 """
@@ -24,6 +27,7 @@ __all__ = [
     "render_metrics_text",
     "render_metrics_json",
     "render_metrics_prometheus",
+    "render_table",
 ]
 
 
@@ -136,3 +140,38 @@ def render_metrics_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(f"{name}{_labels_text(labels)} "
                              f"{_format_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def render_table(headers: list[str], rows: list[list],
+                 title: str = "") -> str:
+    """Render an aligned monospace table; cells are str()-ed."""
+    if not headers:
+        raise ValueError("need at least one column")
+    str_rows = [[_cell(value) for value in row] for row in rows]
+    for row in str_rows:
+        if len(row) != len(headers):
+            raise ValueError("row width does not match headers")
+    widths = [
+        max(len(headers[i]), *(len(r[i]) for r in str_rows)) if str_rows
+        else len(headers[i])
+        for i in range(len(headers))
+    ]
+    lines = []
+    if title:
+        lines.append(title)
+    header_line = " | ".join(h.ljust(w) for h, w in zip(headers, widths))
+    lines.append(header_line)
+    lines.append("-+-".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.001:
+            return f"{value:.3g}"
+        return f"{value:.3f}".rstrip("0").rstrip(".")
+    return str(value)

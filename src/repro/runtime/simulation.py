@@ -27,9 +27,8 @@ from functools import partial
 import numpy as np
 
 from repro.crypto import CertificateAuthority
-from repro.eval import render_table
 from repro.net import TrustClient, UntrustedChannel
-from repro.obs import Instrumentation, MetricsRegistry, NOOP
+from repro.obs import Instrumentation, MetricsRegistry, NOOP, render_table
 
 from .cache import VerificationCache
 from .dispatcher import ServerPool

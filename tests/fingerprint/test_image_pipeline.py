@@ -1,8 +1,11 @@
 """image_ops, orientation, gabor, thinning: the low-level image pipeline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import fftconvolve
 
 from repro.fingerprint import (
     FingerprintClass,
@@ -16,6 +19,7 @@ from repro.fingerprint import (
     normalize,
     orientation_coherence,
     segment_foreground,
+    synthesize_master,
     zhang_suen_thin,
 )
 
@@ -195,6 +199,40 @@ class TestGabor:
         est = estimate_orientation(out)[30:66, 30:66]
         err = np.abs(np.mod(est - 0.3 + np.pi / 2, np.pi) - np.pi / 2)
         assert np.median(err) < 0.25
+
+
+class TestGaborExactness:
+    """``GaborBank.filter`` is bit-identical to per-bin ``fftconvolve``."""
+
+    @staticmethod
+    def _reference(bank, image, field):
+        bins = bank.bin_of(field)
+        output = np.zeros_like(image)
+        for index, kernel in enumerate(bank.kernels):
+            selection = bins == index
+            if selection.any():
+                output[selection] = fftconvolve(image, kernel,
+                                                mode="same")[selection]
+        return output
+
+    def test_filter_matches_fftconvolve_across_shapes(self):
+        # A, B, A order: state one pass left behind for another FFT shape
+        # would corrupt the second pass over shape A.
+        rng = np.random.default_rng(13)
+        bank = GaborBank(9.0)
+        for shape in [(192, 192), (155, 160), (192, 192), (67, 131)]:
+            image = rng.standard_normal(shape)
+            field = rng.uniform(0.0, np.pi, shape)
+            got = bank.filter(image, field)
+            want = self._reference(bank, image, field)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+
+    def test_fleet_master_image_is_pinned(self):
+        master = synthesize_master("fleet-right-thumb",
+                                   np.random.default_rng((3, 1)))
+        assert hashlib.sha256(master.image.tobytes()).hexdigest() == (
+            "506732302b948bdf7bf96a7e66c2792d5c15e6f567f4d92ac72409d1dac33974")
 
 
 class TestThinning:

@@ -5,9 +5,10 @@ so it runs on every merge; this smoke check keeps it from quietly
 degrading into something nobody wants to run.  Budgets: 10 s for the
 per-module scan over ``src/``, 5 s for the interprocedural taint pass
 on top of it, and 8 s total for the combined lint + taint + det +
-contract + sc run (the exact command the CI jobs execute).  The parallel row
-compares the process-pool scan against a forced-sequential run and
-asserts they agree finding-for-finding.
+contract + sc run (the exact command the CI analysis job executes).  The
+six-stage run forks one child for det and sc on a multi-core host; the
+single-process row reruns it with ``os.cpu_count`` reporting 1 and
+asserts the two agree finding-for-finding.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.analysis import analyze_paths
+from repro.analysis import analyze_paths, engine
 from repro.analysis.config import AnalysisConfig
 
 from .conftest import emit
@@ -26,7 +27,7 @@ TAINT_BUDGET_SECONDS = 5.0
 COMBINED_BUDGET_SECONDS = 8.0
 
 #: The repo's own policy (pyproject [tool.trust-lint]) — what the CI
-#: jobs actually run with; the sc declassification model lives there.
+#: job actually runs with; the sc declassification model lives there.
 CONFIG = AnalysisConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
 
 
@@ -36,15 +37,17 @@ def _timed(**kwargs):
     return report, time.perf_counter() - start
 
 
-def test_full_tree_pass_under_budget():
+def test_full_tree_pass_under_budget(monkeypatch):
     report, elapsed = _timed()
-    report_seq, elapsed_seq = _timed(jobs=1)
     report_taint, elapsed_taint = _timed(taint=True)
     report_det, elapsed_det = _timed(det=True)
     report_ct, elapsed_ct = _timed(contract=True)
     report_sc, elapsed_sc = _timed(sc=True)
     report_all, elapsed_all = _timed(taint=True, det=True, contract=True,
                                      sc=True)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+    report_single, elapsed_single = _timed(taint=True, det=True,
+                                           contract=True, sc=True)
 
     per_file = elapsed / max(report.files_scanned, 1)
     emit(
@@ -52,10 +55,8 @@ def test_full_tree_pass_under_budget():
         "TRUST-lint full-tree pass\n"
         f"  files scanned      : {report.files_scanned}\n"
         f"  findings           : {len(report.findings)}\n"
-        f"  scan (parallel)    : {elapsed * 1000:.1f} ms"
+        f"  scan               : {elapsed * 1000:.1f} ms"
         f"  ({per_file * 1000:.2f} ms/file)\n"
-        f"  scan (sequential)  : {elapsed_seq * 1000:.1f} ms"
-        f"  (speedup x{elapsed_seq / max(elapsed, 1e-9):.2f})\n"
         f"  scan + taint pass  : {elapsed_taint * 1000:.1f} ms"
         f"  ({len(report_taint.findings)} finding(s), "
         f"{len(report_taint.findings) - len(report.findings)} from taint)\n"
@@ -69,22 +70,27 @@ def test_full_tree_pass_under_budget():
         f"  ({len(report_sc.findings)} finding(s), "
         f"{len(report_sc.findings) - len(report.findings)} from sc)\n"
         f"  six-stage run      : {elapsed_all * 1000:.1f} ms"
-        f"  ({len(report_all.findings)} finding(s))\n"
+        f"  ({len(report_all.findings)} finding(s), det + sc in the "
+        f"{report_all.stage_stats['det']['process']})\n"
+        f"  six-stage, 1 proc  : {elapsed_single * 1000:.1f} ms"
+        f"  (forked speedup x{elapsed_single / max(elapsed_all, 1e-9):.2f})\n"
         f"  budgets            : scan {BUDGET_SECONDS:.0f} s, "
         f"with taint +{TAINT_BUDGET_SECONDS:.0f} s, "
         f"combined {COMBINED_BUDGET_SECONDS:.0f} s",
     )
 
     assert report.parse_errors == []
-    assert report_det.det_ran and report_all.det_ran and report_all.taint_ran
-    assert report_ct.contract_ran and report_all.contract_ran
-    assert report_sc.sc_ran and report_all.sc_ran
+    assert "det" in report_det.stage_stats
+    assert "contract" in report_ct.stage_stats
+    assert "sc" in report_sc.stage_stats
+    assert list(report_all.stage_stats) == list(report_single.stage_stats) \
+        == ["parse", "lint", "taint", "det", "contract", "sc"]
     # The contract pass records the canonical payload and per-stage
     # clocks on the report (the ``--stats`` surface).
     assert report_all.contract_payload is not None
     assert report_all.contract_payload["endpoints"]
-    for stage in ("lint", "taint", "det", "contract", "sc"):
-        assert report_all.stage_stats[stage]["elapsed_s"] >= 0.0
+    for entry in report_all.stage_stats.values():
+        assert entry["elapsed_s"] >= 0.0
     assert elapsed < BUDGET_SECONDS, (
         f"analysis pass took {elapsed:.1f}s (> {BUDGET_SECONDS}s budget)")
     assert elapsed_taint < BUDGET_SECONDS + TAINT_BUDGET_SECONDS, (
@@ -93,9 +99,9 @@ def test_full_tree_pass_under_budget():
     assert elapsed_all < COMBINED_BUDGET_SECONDS, (
         f"six-stage lint+taint+det+contract+sc pass took {elapsed_all:.1f}s "
         f"(> {COMBINED_BUDGET_SECONDS}s budget)")
-    # Parallel and sequential scans must agree exactly (determinism).
-    assert ([f.fingerprint() for f in report.findings]
-            == [f.fingerprint() for f in report_seq.findings])
+    # Forked and single-process runs must agree exactly (determinism).
+    assert ([f.fingerprint() for f in report_all.findings]
+            == [f.fingerprint() for f in report_single.findings])
 
 
 VERIFY_DEPTH = 10

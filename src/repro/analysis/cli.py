@@ -66,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--since", metavar="REF", default="HEAD",
                         help="git ref --changed-only compares against "
                         "(default: HEAD)")
-    parser.add_argument("--jobs", type=int, metavar="N", default=None,
-                        help="worker processes for the per-file scan "
-                        "(default: automatic)")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="baseline file of grandfathered findings")
     parser.add_argument("--update-baseline", action="store_true",
@@ -201,23 +198,28 @@ def _finding_stage(rule_id: str) -> str:
 
 
 def _print_stats(report, total_s: float) -> str:
-    """Per-stage breakdown (stderr) and one perf-log row (returned)."""
+    """Per-stage breakdown (stderr) and one perf-log row (returned).
+
+    Stages the forked child ran are marked.  The total line sums stage
+    times per process: the child's sum is its wall time, and the
+    parent's sum plus any wait for the child is the total.
+    """
     from collections import Counter
     counts = Counter(_finding_stage(f.rule) for f in report.findings)
-    stages = ["lint"]
-    stages += ["taint"] if report.taint_ran else []
-    stages += ["det"] if report.det_ran else []
-    stages += ["contract"] if report.contract_ran else []
-    stages += ["sc"] if report.sc_ran else []
     cells = []
-    for stage in stages:
-        elapsed = report.stage_stats.get(stage, {}).get("elapsed_s", 0.0)
+    sums: Counter[str] = Counter()
+    for stage, entry in report.stage_stats.items():
+        elapsed, process = entry["elapsed_s"], entry["process"]
+        sums[process] += elapsed
+        where = " (child)" if process == "child" else ""
         print(f"stats: {stage:8s} findings={counts.get(stage, 0):<3d} "
-              f"elapsed={elapsed:.2f}s", file=sys.stderr)
+              f"elapsed={elapsed:.2f}s{where}", file=sys.stderr)
         cells.append(f"{stage}={elapsed:.2f}s")
+    per_process = "".join(f" {process}={seconds:.2f}s"
+                          for process, seconds in sums.items())
     print(f"stats: total    findings={len(report.findings):<3d} "
-          f"elapsed={total_s:.2f}s files={report.files_scanned}",
-          file=sys.stderr)
+          f"elapsed={total_s:.2f}s files={report.files_scanned}"
+          f"{per_process}", file=sys.stderr)
     return (f"repro-lint --stats: files={report.files_scanned} "
             f"findings={len(report.findings)} " + " ".join(cells)
             + f" total={total_s:.2f}s")
@@ -269,21 +271,68 @@ def build_graph_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> AnalysisConfig:
-    if args.no_config:
-        config = AnalysisConfig.default()
-    else:
-        anchor = Path(args.paths[0]) if args.paths else Path.cwd()
-        pyproject = find_pyproject(anchor)
-        config = (AnalysisConfig.from_pyproject(pyproject)
-                  if pyproject is not None else AnalysisConfig.default())
-    if args.disable:
-        extra = tuple(r.strip() for r in args.disable.split(",") if r.strip())
-        for rule_id in extra:
-            get_rule(rule_id)  # reject typos loudly
-        config = replace(config,
-                         disabled_rules=config.disabled_rules + extra)
+def _load_config(args: argparse.Namespace) -> AnalysisConfig | None:
+    """The run's config (pyproject from the first path, else the working
+    directory, plus ``--disable``); None after reporting an error."""
+    try:
+        if args.no_config:
+            config = AnalysisConfig.default()
+        else:
+            anchor = Path(args.paths[0]) if args.paths else Path.cwd()
+            pyproject = find_pyproject(anchor)
+            config = (AnalysisConfig.from_pyproject(pyproject)
+                      if pyproject is not None
+                      else AnalysisConfig.default())
+        if args.disable:
+            extra = tuple(r.strip() for r in args.disable.split(",")
+                          if r.strip())
+            for rule_id in extra:
+                get_rule(rule_id)  # reject typos loudly
+            config = replace(config,
+                             disabled_rules=config.disabled_rules + extra)
+    except (ValueError, OSError) as exc:
+        print(f"repro-lint: configuration error: {exc}", file=sys.stderr)
+        return None
     return config
+
+
+def _load_baseline(args: argparse.Namespace, config: AnalysisConfig
+                   ) -> tuple[str | None, dict[str, int]] | None:
+    """(baseline path, grandfathered counts); None after a load error.
+
+    With ``--update-baseline`` the file is only written, never read.
+    """
+    path = args.baseline or config.baseline_path or None
+    if not path or args.update_baseline:
+        return path, {}
+    try:
+        return path, load_baseline(path)
+    except (ValueError, OSError) as exc:
+        print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
+        return None
+
+
+def _finish(args: argparse.Namespace, report, baseline_path: str | None,
+            total_s: float = 0.0) -> int:
+    """Write the baseline, or print the report (and ``--stats``);
+    returns the exit code."""
+    if args.update_baseline:
+        if not baseline_path:
+            print("repro-lint: --update-baseline needs --baseline FILE "
+                  "or a [tool.trust-lint] baseline setting", file=sys.stderr)
+            return 2
+        added, removed, kept = update_baseline(
+            baseline_path, report.findings, merge=args.merge)
+        mode = "merged into" if args.merge else "written to"
+        print(f"baseline {mode} {baseline_path}: {added} added, "
+              f"{removed} removed, {kept} kept")
+        return 0
+    renderers = {"text": render_text, "json": render_json,
+                 "sarif": render_sarif}
+    print(renderers[args.format](report))
+    if args.stats:
+        _append_perf_row(_print_stats(report, total_s))
+    return _exit_code(report, args.fail_on)
 
 
 def _graph_main(argv: list[str]) -> int:
@@ -358,6 +407,9 @@ def build_verify_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-config", action="store_true",
                         help="ignore [tool.trust-lint] in pyproject.toml")
     _add_fail_on(parser)
+    # No paths (config comes from the working directory's pyproject),
+    # no --disable and no --stats.
+    parser.set_defaults(paths=[], disable="", stats=False)
     return parser
 
 
@@ -375,18 +427,9 @@ def _verify_main(argv: list[str]) -> int:
             print(f"--mutate {name}: {MUTATIONS[name]}")
         return 0
 
-    if args.no_config:
-        config = AnalysisConfig.default()
-    else:
-        pyproject = find_pyproject(Path.cwd())
-        try:
-            config = (AnalysisConfig.from_pyproject(pyproject)
-                      if pyproject is not None
-                      else AnalysisConfig.default())
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: configuration error: {exc}",
-                  file=sys.stderr)
-            return 2
+    config = _load_config(args)
+    if config is None:
+        return 2
 
     try:
         findings, stats = run_verify(
@@ -401,34 +444,15 @@ def _verify_main(argv: list[str]) -> int:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or config.baseline_path or None
+    loaded = _load_baseline(args, config)
+    if loaded is None:
+        return 2
+    baseline_path, baseline = loaded
     report = AnalysisReport(findings=findings, verify_stats=stats)
-    if baseline_path and not args.update_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
+    if baseline:
         report.findings, report.baselined_count = apply_baseline(
             findings, baseline)
-
-    if args.update_baseline:
-        if not baseline_path:
-            print("repro-lint: --update-baseline needs --baseline FILE "
-                  "or a [tool.trust-lint] baseline setting",
-                  file=sys.stderr)
-            return 2
-        added, removed, kept = update_baseline(
-            baseline_path, report.findings, merge=args.merge)
-        mode = "merged into" if args.merge else "written to"
-        print(f"baseline {mode} {baseline_path}: {added} added, "
-              f"{removed} removed, {kept} kept")
-        return 0
-
-    renderers = {"text": render_text, "json": render_json,
-                 "sarif": render_sarif}
-    print(renderers[args.format](report))
-    return _exit_code(report, args.fail_on)
+    return _finish(args, report, baseline_path)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -446,10 +470,8 @@ def main(argv: list[str] | None = None) -> int:
         print(render_rule_list())
         return 0
 
-    try:
-        config = _load_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"repro-lint: configuration error: {exc}", file=sys.stderr)
+    config = _load_config(args)
+    if config is None:
         return 2
 
     paths = args.paths or list(config.default_paths)
@@ -459,14 +481,10 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or config.baseline_path or None
-    baseline: dict[str, int] = {}
-    if baseline_path and not args.update_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
+    loaded = _load_baseline(args, config)
+    if loaded is None:
+        return 2
+    baseline_path, baseline = loaded
 
     scan_paths: list[Path] | list[str] = paths
     if args.changed_only:
@@ -485,28 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     run_started = time.perf_counter()
     report = analyze_paths(scan_paths, config, baseline=baseline,
                            taint=args.taint, det=args.det,
-                           contract=args.contract, sc=args.sc,
-                           jobs=args.jobs)
-    run_elapsed = time.perf_counter() - run_started
-
-    if args.update_baseline:
-        if not baseline_path:
-            print("repro-lint: --update-baseline needs --baseline FILE "
-                  "or a [tool.trust-lint] baseline setting", file=sys.stderr)
-            return 2
-        added, removed, kept = update_baseline(
-            baseline_path, report.findings, merge=args.merge)
-        mode = "merged into" if args.merge else "written to"
-        print(f"baseline {mode} {baseline_path}: {added} added, "
-              f"{removed} removed, {kept} kept")
-        return 0
-
-    renderers = {"text": render_text, "json": render_json,
-                 "sarif": render_sarif}
-    print(renderers[args.format](report))
-    if args.stats:
-        _append_perf_row(_print_stats(report, run_elapsed))
-    return _exit_code(report, args.fail_on)
+                           contract=args.contract, sc=args.sc)
+    return _finish(args, report, baseline_path,
+                   time.perf_counter() - run_started)
 
 
 def build_contract_parser() -> argparse.ArgumentParser:
@@ -525,24 +524,15 @@ def build_contract_parser() -> argparse.ArgumentParser:
                         "stdout (for regenerating the committed golden)")
     parser.add_argument("--no-config", action="store_true",
                         help="ignore [tool.trust-lint] in pyproject.toml")
+    parser.set_defaults(disable="")
     return parser
 
 
 def _contract_main(argv: list[str]) -> int:
     args = build_contract_parser().parse_args(argv)
-    if args.no_config:
-        config = AnalysisConfig.default()
-    else:
-        anchor = Path(args.paths[0]) if args.paths else Path.cwd()
-        pyproject = find_pyproject(anchor)
-        try:
-            config = (AnalysisConfig.from_pyproject(pyproject)
-                      if pyproject is not None
-                      else AnalysisConfig.default())
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: configuration error: {exc}",
-                  file=sys.stderr)
-            return 2
+    config = _load_config(args)
+    if config is None:
+        return 2
     paths = args.paths or list(config.default_paths)
     missing = [p for p in paths if not Path(p).exists()]
     if missing:

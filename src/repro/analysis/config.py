@@ -80,6 +80,12 @@ def _lower_tuple(values) -> tuple[str, ...]:
     return tuple(str(v).lower() for v in values)
 
 
+def _under(module: str, packages: tuple[str, ...]) -> bool:
+    """Is ``module`` one of ``packages`` or inside one of them?"""
+    return any(module == pkg or module.startswith(pkg + ".")
+               for pkg in packages)
+
+
 @lru_cache(maxsize=None)
 def _match(low: str, patterns: tuple[str, ...]) -> bool:
     """Cached fnmatch-any: the taint pass asks about the same few
@@ -384,18 +390,15 @@ class AnalysisConfig:
 
     def in_trusted_package(self, module: str) -> bool:
         """Is ``module`` inside a trusted layer (SF101 exempt)?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.trusted_packages)
+        return _under(module, self.trusted_packages)
 
     def in_boundary_package(self, module: str) -> bool:
         """Is ``module`` inside the stateful trust boundary (SF111)?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.boundary_packages)
+        return _under(module, self.boundary_packages)
 
     def in_rng_clean_package(self, module: str) -> bool:
         """Is ``module`` inside a package where stdlib random is banned?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.rng_clean_packages)
+        return _under(module, self.rng_clean_packages)
 
     def rule_enabled(self, rule_id: str) -> bool:
         """Is the rule enabled under this config?"""
@@ -441,8 +444,7 @@ class AnalysisConfig:
     # ------------------------------------------------ determinism matching
     def in_det_exempt_module(self, module: str) -> bool:
         """Is ``module`` outside the determinism pass's scope?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.det_exempt_modules)
+        return _under(module, self.det_exempt_modules)
 
     def is_det_order_sink_name(self, name: str) -> bool:
         """Is a call to ``name`` an order-observable sink (DT604)?"""
@@ -458,8 +460,7 @@ class AnalysisConfig:
 
     def in_det_shard_package(self, module: str) -> bool:
         """Is ``module`` inside the shard-isolation scope (RC612)?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.det_shard_packages)
+        return _under(module, self.det_shard_packages)
 
     def is_det_conduit_name(self, name: str) -> bool:
         """Is ``name`` an approved cross-shard transfer conduit?"""
@@ -468,8 +469,7 @@ class AnalysisConfig:
     # ------------------------------------------------ side-channel matching
     def in_sc_module(self, module: str) -> bool:
         """Is ``module`` inside the side-channel pass's scope?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.sc_modules)
+        return _under(module, self.sc_modules)
 
     def is_sc_secret_name(self, name: str) -> bool:
         """Does ``name`` seed timing taint in the side-channel pass?"""
@@ -519,23 +519,29 @@ class AnalysisConfig:
     def from_pyproject(cls, pyproject: Path) -> "AnalysisConfig":
         """Default config overlaid with ``[tool.trust-lint]`` from a file.
 
-        Recognized keys: ``paths`` (list of str), ``disable`` (list of rule
-        ids), ``baseline`` (str), ``extend-secret-patterns``,
-        ``extend-public-patterns`` (lists of fnmatch patterns), and a
-        ``taint`` sub-table with ``extend-sources`` / ``extend-sinks`` /
-        ``extend-sanitizers`` pattern lists, a ``verify`` sub-table
-        with ``depth`` / ``max-states`` / ``entries`` / ``adversary``,
-        and a ``det`` sub-table with ``exempt-modules`` /
-        ``extend-order-sinks`` / ``extend-accumulation-sinks`` /
-        ``extend-sanitizers`` / ``shard-packages`` / ``shard-roots`` /
-        ``extend-conduits``, and a ``contract`` sub-table with
-        ``server-modules`` / ``codec-modules`` / ``client-modules`` /
-        ``read-modules`` / ``consumer-paths`` / ``golden`` /
-        ``decode-patterns`` / ``envelope-names``, and an ``sc``
-        sub-table with ``modules`` / ``extend-declassifiers`` /
-        ``extend-secret-patterns`` / ``extend-public-patterns`` /
-        ``modpow-boundary``.  Unknown keys are rejected so typos fail
-        loudly.
+        Recognized keys, by table (lists are of str; ``extend-*`` keys
+        add to the defaults, the other lists replace them):
+
+        - ``[tool.trust-lint]``: ``paths``, ``disable`` (rule ids),
+          ``baseline`` (str), ``extend-secret-patterns``,
+          ``extend-public-patterns``
+        - ``[tool.trust-lint.taint]``: ``extend-sources``,
+          ``extend-sinks``, ``extend-sanitizers``
+        - ``[tool.trust-lint.verify]``: ``depth`` (int), ``max-states``
+          (int), ``entries``, ``adversary`` (bool)
+        - ``[tool.trust-lint.det]``: ``exempt-modules``,
+          ``extend-order-sinks``, ``extend-accumulation-sinks``,
+          ``extend-sanitizers``, ``shard-packages``, ``shard-roots``,
+          ``extend-conduits``
+        - ``[tool.trust-lint.contract]``: ``server-modules``,
+          ``codec-modules``, ``client-modules``, ``read-modules``,
+          ``consumer-paths``, ``golden`` (str), ``decode-patterns``,
+          ``envelope-names``
+        - ``[tool.trust-lint.sc]``: ``modules``, ``extend-declassifiers``,
+          ``extend-secret-patterns``, ``extend-public-patterns``,
+          ``modpow-boundary``
+
+        Unknown keys are rejected so typos fail loudly.
         """
         import tomllib
 
@@ -545,155 +551,85 @@ class AnalysisConfig:
         return cls.default().with_overrides(section)
 
     def with_overrides(self, section: dict) -> "AnalysisConfig":
-        """Apply a ``[tool.trust-lint]``-shaped dict of overrides."""
-        known = {"paths", "disable", "baseline", "extend-secret-patterns",
-                 "extend-public-patterns", "taint", "verify", "det",
-                 "contract", "sc"}
-        unknown = set(section) - known
-        if unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint] options: {sorted(unknown)}")
-        taint = section.get("taint", {})
-        taint_known = {"extend-sources", "extend-sinks", "extend-sanitizers"}
-        taint_unknown = set(taint) - taint_known
-        if taint_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.taint] options: "
-                f"{sorted(taint_unknown)}")
-        verify = section.get("verify", {})
-        verify_known = {"depth", "max-states", "entries", "adversary"}
-        verify_unknown = set(verify) - verify_known
-        if verify_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.verify] options: "
-                f"{sorted(verify_unknown)}")
-        det = section.get("det", {})
-        det_known = {"exempt-modules", "extend-order-sinks",
-                     "extend-accumulation-sinks", "extend-sanitizers",
-                     "shard-packages", "shard-roots", "extend-conduits"}
-        det_unknown = set(det) - det_known
-        if det_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.det] options: "
-                f"{sorted(det_unknown)}")
-        contract = section.get("contract", {})
-        contract_known = {"server-modules", "codec-modules",
-                          "client-modules", "read-modules",
-                          "consumer-paths", "golden", "decode-patterns",
-                          "envelope-names"}
-        contract_unknown = set(contract) - contract_known
-        if contract_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.contract] options: "
-                f"{sorted(contract_unknown)}")
-        sc = section.get("sc", {})
-        sc_known = {"modules", "extend-declassifiers",
-                    "extend-secret-patterns", "extend-public-patterns",
-                    "modpow-boundary"}
-        sc_unknown = set(sc) - sc_known
-        if sc_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.sc] options: "
-                f"{sorted(sc_unknown)}")
+        """Apply a ``[tool.trust-lint]``-shaped dict of overrides.
+
+        :data:`_OPTIONS` names every key; any other key is rejected.
+        """
         updates = {}
-        if "modules" in sc:
-            updates["sc_modules"] = tuple(str(m) for m in sc["modules"])
-        if "extend-declassifiers" in sc:
-            updates["sc_declassifiers"] = self.sc_declassifiers + \
-                _lower_tuple(sc["extend-declassifiers"])
-        if "extend-secret-patterns" in sc:
-            updates["sc_secret_patterns"] = self.sc_secret_patterns + \
-                _lower_tuple(sc["extend-secret-patterns"])
-        if "extend-public-patterns" in sc:
-            updates["sc_public_patterns"] = self.sc_public_patterns + \
-                _lower_tuple(sc["extend-public-patterns"])
-        if "modpow-boundary" in sc:
-            updates["sc_modpow_boundary"] = tuple(
-                str(q) for q in sc["modpow-boundary"])
-        if "server-modules" in contract:
-            updates["contract_server_modules"] = tuple(
-                str(m) for m in contract["server-modules"])
-        if "codec-modules" in contract:
-            updates["contract_codec_modules"] = tuple(
-                str(m) for m in contract["codec-modules"])
-        if "client-modules" in contract:
-            updates["contract_client_modules"] = tuple(
-                str(m) for m in contract["client-modules"])
-        if "read-modules" in contract:
-            updates["contract_read_modules"] = tuple(
-                str(m) for m in contract["read-modules"])
-        if "consumer-paths" in contract:
-            updates["contract_consumer_paths"] = tuple(
-                str(p) for p in contract["consumer-paths"])
-        if "golden" in contract:
-            updates["contract_golden"] = str(contract["golden"])
-        if "decode-patterns" in contract:
-            updates["contract_decode_patterns"] = _lower_tuple(
-                contract["decode-patterns"])
-        if "envelope-names" in contract:
-            updates["contract_envelope_names"] = tuple(
-                str(n) for n in contract["envelope-names"])
-        if "exempt-modules" in det:
-            updates["det_exempt_modules"] = tuple(
-                str(m) for m in det["exempt-modules"])
-        if "extend-order-sinks" in det:
-            updates["det_order_sinks"] = self.det_order_sinks + _lower_tuple(
-                det["extend-order-sinks"])
-        if "extend-accumulation-sinks" in det:
-            updates["det_accumulation_sinks"] = (
-                self.det_accumulation_sinks + _lower_tuple(
-                    det["extend-accumulation-sinks"]))
-        if "extend-sanitizers" in det:
-            updates["det_order_sanitizers"] = (
-                self.det_order_sanitizers + _lower_tuple(
-                    det["extend-sanitizers"]))
-        if "shard-packages" in det:
-            updates["det_shard_packages"] = tuple(
-                str(p) for p in det["shard-packages"])
-        if "shard-roots" in det:
-            updates["det_shard_roots"] = tuple(
-                str(r) for r in det["shard-roots"])
-        if "extend-conduits" in det:
-            updates["det_conduits"] = self.det_conduits + tuple(
-                str(c) for c in det["extend-conduits"])
-        if "depth" in verify:
-            updates["verify_depth"] = int(verify["depth"])
-        if "max-states" in verify:
-            updates["verify_max_states"] = int(verify["max-states"])
-        if "entries" in verify:
-            updates["verify_entries"] = tuple(
-                str(e) for e in verify["entries"])
-        if "adversary" in verify:
-            updates["verify_adversary"] = bool(verify["adversary"])
-        if "extend-sources" in taint:
-            updates["taint_sources"] = self.taint_sources + _lower_tuple(
-                taint["extend-sources"])
-        if "extend-sinks" in taint:
-            updates["taint_sinks"] = self.taint_sinks + _lower_tuple(
-                taint["extend-sinks"])
-        if "extend-sanitizers" in taint:
-            updates["taint_sanitizers"] = (
-                self.taint_sanitizers + _lower_tuple(
-                    taint["extend-sanitizers"]))
-        if "paths" in section:
-            updates["default_paths"] = tuple(str(p) for p in section["paths"])
-        if "disable" in section:
-            updates["disabled_rules"] = tuple(
-                str(r) for r in section["disable"])
-        if "baseline" in section:
-            updates["baseline_path"] = str(section["baseline"])
-        if "extend-secret-patterns" in section:
-            updates["secret_patterns"] = self.secret_patterns + _lower_tuple(
-                section["extend-secret-patterns"])
-        if "extend-public-patterns" in section:
-            updates["public_patterns"] = self.public_patterns + _lower_tuple(
-                section["extend-public-patterns"])
+        for sub in ("", *_SUBTABLES):
+            table = section.get(sub, {}) if sub else section
+            allowed = {option for owner, option in _OPTIONS if owner == sub}
+            unknown = set(table) - allowed - (set() if sub else
+                                              set(_SUBTABLES))
+            if unknown:
+                name = f"tool.trust-lint.{sub}" if sub else "tool.trust-lint"
+                raise ValueError(
+                    f"unknown [{name}] options: {sorted(unknown)}")
+            for option in sorted(allowed & set(table)):
+                attr, kind = _OPTIONS[sub, option]
+                updates[attr] = _CONVERSIONS[kind](getattr(self, attr),
+                                                   table[option])
         return replace(self, **updates)
 
     @classmethod
     def default(cls) -> "AnalysisConfig":
         """The stock configuration encoding the paper's invariants."""
         return cls()
+
+
+#: Every ``[tool.trust-lint]`` option: ``(sub-table, key) -> (field,
+#: conversion)``, with ``""`` for the top-level table.  ``replace`` and
+#: ``lower`` set a string tuple (``lower`` lowercases it), ``extend`` and
+#: ``extend-lower`` append to the default.
+_OPTIONS: dict[tuple[str, str], tuple[str, str]] = {
+    ("", "paths"): ("default_paths", "replace"),
+    ("", "disable"): ("disabled_rules", "replace"),
+    ("", "baseline"): ("baseline_path", "str"),
+    ("", "extend-secret-patterns"): ("secret_patterns", "extend-lower"),
+    ("", "extend-public-patterns"): ("public_patterns", "extend-lower"),
+    ("taint", "extend-sources"): ("taint_sources", "extend-lower"),
+    ("taint", "extend-sinks"): ("taint_sinks", "extend-lower"),
+    ("taint", "extend-sanitizers"): ("taint_sanitizers", "extend-lower"),
+    ("verify", "depth"): ("verify_depth", "int"),
+    ("verify", "max-states"): ("verify_max_states", "int"),
+    ("verify", "entries"): ("verify_entries", "replace"),
+    ("verify", "adversary"): ("verify_adversary", "bool"),
+    ("det", "exempt-modules"): ("det_exempt_modules", "replace"),
+    ("det", "extend-order-sinks"): ("det_order_sinks", "extend-lower"),
+    ("det", "extend-accumulation-sinks"): ("det_accumulation_sinks",
+                                           "extend-lower"),
+    ("det", "extend-sanitizers"): ("det_order_sanitizers", "extend-lower"),
+    ("det", "shard-packages"): ("det_shard_packages", "replace"),
+    ("det", "shard-roots"): ("det_shard_roots", "replace"),
+    ("det", "extend-conduits"): ("det_conduits", "extend"),
+    ("contract", "server-modules"): ("contract_server_modules", "replace"),
+    ("contract", "codec-modules"): ("contract_codec_modules", "replace"),
+    ("contract", "client-modules"): ("contract_client_modules", "replace"),
+    ("contract", "read-modules"): ("contract_read_modules", "replace"),
+    ("contract", "consumer-paths"): ("contract_consumer_paths", "replace"),
+    ("contract", "golden"): ("contract_golden", "str"),
+    ("contract", "decode-patterns"): ("contract_decode_patterns", "lower"),
+    ("contract", "envelope-names"): ("contract_envelope_names", "replace"),
+    ("sc", "modules"): ("sc_modules", "replace"),
+    ("sc", "extend-declassifiers"): ("sc_declassifiers", "extend-lower"),
+    ("sc", "extend-secret-patterns"): ("sc_secret_patterns", "extend-lower"),
+    ("sc", "extend-public-patterns"): ("sc_public_patterns", "extend-lower"),
+    ("sc", "modpow-boundary"): ("sc_modpow_boundary", "replace"),
+}
+
+#: The sub-tables of ``[tool.trust-lint]``, in the order they are checked.
+_SUBTABLES = tuple(dict.fromkeys(sub for sub, _ in _OPTIONS if sub))
+
+#: conversion -> (current field value, TOML value) -> new field value.
+_CONVERSIONS = {
+    "replace": lambda current, value: tuple(str(v) for v in value),
+    "lower": lambda current, value: _lower_tuple(value),
+    "extend": lambda current, value: current + tuple(str(v) for v in value),
+    "extend-lower": lambda current, value: current + _lower_tuple(value),
+    "int": lambda current, value: int(value),
+    "bool": lambda current, value: bool(value),
+    "str": lambda current, value: str(value),
+}
 
 
 def find_pyproject(start: Path) -> Path | None:

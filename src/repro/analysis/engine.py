@@ -6,17 +6,16 @@ findings": Python-file discovery, dotted-module-name recovery (walking up
 where the tree is checked out), rule execution, suppression filtering and
 baseline subtraction.
 
-Per-module scanning is embarrassingly parallel, so ``analyze_paths``
-fans files out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-when the file count justifies the fork cost; results are collected in
-submission order and globally sorted, so the output is byte-identical to
-a sequential run.  The project-wide passes (taint, determinism,
-side-channel) need every module's AST at once and are not parallelisable
-per file, but they are independent of the per-module scan *and* of each
-other: on a big tree the determinism and side-channel passes each run in
-a forked child that shares the parsed contexts copy-on-write, the taint
-and contract passes run in the parent, and the scan pool grinds
-alongside all of them.
+``analyze_paths`` parses every file once and, when a project-wide stage
+is requested, builds one symbol index; both happen before any fork.  The
+stages then run in :data:`STAGES` order over those shared structures.
+On a big tree and a multi-core host, one forked child runs the
+determinism and side-channel stages on the inherited index
+(copy-on-write) while the parent runs the per-module rules, taint and
+contract.  The child is skipped, and its stages run in-process, when the
+host cannot fork, has fewer than 2 CPUs, the tree has fewer than
+:data:`_PARALLEL_THRESHOLD` modules, or the child dies without replying.
+Findings are globally sorted, so the report is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,9 +33,13 @@ from .core import Finding, ModuleContext, ProjectRule, all_rules
 __all__ = ["AnalysisReport", "analyze_paths", "analyze_source",
            "analyze_sources", "build_contexts", "module_name_for"]
 
-#: Below this many files a process pool costs more than it saves.
+#: Every stage in run and report order.  ``parse`` and ``lint`` always
+#: run; the four project-wide stages run when requested.
+STAGES = ("parse", "lint", "taint", "det", "contract", "sc")
+#: The project-wide stages the forked child takes over.
+_CHILD_STAGES = ("det", "sc")
+#: Below this many modules a fork costs more than it saves.
 _PARALLEL_THRESHOLD = 24
-_MAX_WORKERS = 8
 
 
 @dataclass
@@ -50,16 +51,13 @@ class AnalysisReport:
     files_scanned: int = 0
     suppressed_count: int = 0
     baselined_count: int = 0
-    taint_ran: bool = False
-    det_ran: bool = False
-    contract_ran: bool = False
-    sc_ran: bool = False
     #: Canonical wire-contract payload when the contract pass ran; the
     #: same dict ``repro-lint contract`` serialises as ``contract.json``.
     contract_payload: dict | None = None
-    #: Wall-clock seconds per stage (``{"lint": {"elapsed_s": ...}}``).
-    #: Overlapped stages report their own clock, so the values can sum
-    #: to more than the run's total wall time.
+    #: The stages that ran, in :data:`STAGES` order, each with its clock
+    #: and the process it ran in (``{"lint": {"elapsed_s": ...,
+    #: "process": "parent"}}``).  The child's entries add up to its wall
+    #: time; the parent's, plus any wait for the child, to the run's.
     stage_stats: dict = field(default_factory=dict)
     #: Exploration statistics when this report came from ``repro-lint
     #: verify`` (states, transitions, per-scenario breakdown); else None.
@@ -119,64 +117,6 @@ def _load_context(file_path: Path,
     return ctx, None
 
 
-def _scan_worker(payload: tuple[str, str, AnalysisConfig]) -> dict:
-    """Scan one file with the per-module rules (process-pool safe)."""
-    path_str, display, config = payload
-    ctx, error = _load_context(Path(path_str), display)
-    if ctx is None:
-        return {"display": display, "error": error, "findings": [],
-                "suppressed": 0}
-    findings: list[Finding] = []
-    suppressed = 0
-    try:
-        for rule in all_rules():
-            if isinstance(rule, ProjectRule):
-                continue  # computed by the project-wide taint pass
-            if not config.rule_enabled(rule.id):
-                continue
-            for finding in rule.check(ctx, config):
-                if ctx.is_suppressed(finding.rule, finding.line):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-    except Exception as exc:  # trust-lint: disable=RB301
-        # A rule crash must not abort the whole run: surface the file it
-        # died on as a parse-style error and keep scanning the rest.
-        return {"display": display,
-                "error": f"rule crash: {type(exc).__name__}: {exc}",
-                "findings": [], "suppressed": 0}
-    return {"display": display, "error": None, "findings": findings,
-            "suppressed": suppressed}
-
-
-def _stage_worker(conn, run_pass, contexts: list[ModuleContext],
-                  config: AnalysisConfig) -> None:
-    """Forked child: run one project pass, ship findings back.
-
-    Only ever started via the ``fork`` start method, so ``run_pass`` and
-    ``contexts`` arrive through copy-on-write memory, not pickling; the
-    findings go back over the pipe (they are small, plain dataclasses).
-    """
-    try:
-        started = time.perf_counter()
-        findings = run_pass(contexts, config)
-        conn.send(("ok", findings, time.perf_counter() - started))
-    # Crash shield: the error is surfaced to the parent, which re-runs
-    # the pass inline to attribute the failure.
-    except BaseException as exc:  # trust-lint: disable=RB301
-        conn.send(("error", f"{type(exc).__name__}: {exc}", 0.0))
-    finally:
-        conn.close()
-
-
-def _effective_jobs(jobs: int | None, file_count: int) -> int:
-    if jobs is not None:
-        return max(1, jobs)
-    if file_count < _PARALLEL_THRESHOLD:
-        return 1
-    return max(1, min(_MAX_WORKERS, os.cpu_count() or 1))
-
-
 def build_contexts(
         file_paths: list[Path]) -> tuple[list[ModuleContext],
                                          list[tuple[str, str]]]:
@@ -192,12 +132,120 @@ def build_contexts(
     return contexts, errors
 
 
+def _requested(taint: bool, det: bool, contract: bool,
+               sc: bool) -> list[str]:
+    """The requested project-wide stages, in :data:`STAGES` order."""
+    flags = {"taint": taint, "det": det, "contract": contract, "sc": sc}
+    return [stage for stage in STAGES if flags.get(stage)]
+
+
+def _module_rules(config: AnalysisConfig) -> list:
+    """The enabled per-module rules (project rules run as stages)."""
+    return [rule for rule in all_rules()
+            if not isinstance(rule, ProjectRule)
+            and config.rule_enabled(rule.id)]
+
+
+def _lint_module(ctx: ModuleContext, rules: list,
+                 config: AnalysisConfig) -> tuple[list[Finding], int]:
+    """(unsuppressed findings, suppressed count) of one module."""
+    findings: list[Finding] = []
+    suppressed = 0
+    for rule in rules:
+        for finding in rule.check(ctx, config):
+            if ctx.is_suppressed(finding.rule, finding.line):
+                suppressed += 1
+            else:
+                findings.append(finding)
+    return findings, suppressed
+
+
+def _run_stage(stage: str, contexts: list[ModuleContext],
+               config: AnalysisConfig, index,
+               report: AnalysisReport) -> list[Finding]:
+    """Run one project-wide stage on the shared index."""
+    if stage == "taint":
+        from .taint import TaintAnalysis
+        return TaintAnalysis(contexts, config, index=index).run()
+    if stage == "det":
+        from .determinism import run_det
+        return run_det(contexts, config, index=index)
+    if stage == "contract":
+        from .contract import run_contract
+        findings, report.contract_payload = run_contract(
+            contexts, config, index=index)
+        return findings
+    from .sidechannel import run_sc
+    return run_sc(contexts, config, index=index)
+
+
+def _run_stages(stages: list[str], contexts: list[ModuleContext],
+                config: AnalysisConfig, index, report: AnalysisReport,
+                process: str = "parent") -> list[Finding]:
+    """Run project-wide stages in order, clocking each into the report."""
+    found: list[Finding] = []
+    for stage in stages:
+        started = time.perf_counter()
+        found.extend(_run_stage(stage, contexts, config, index, report))
+        report.stage_stats[stage] = {
+            "elapsed_s": time.perf_counter() - started, "process": process}
+    return found
+
+
+def _child(conn, stages: list[str], contexts: list[ModuleContext],
+           config: AnalysisConfig, index) -> None:
+    """Forked child: run ``stages`` on the inherited index, reply once.
+
+    Only ever started with the ``fork`` method, so the contexts and the
+    index arrive through copy-on-write memory, not pickling; the findings
+    and clocks go back over the pipe.  A stage that raises sends no
+    reply, and the parent re-runs the stages in-process, where the
+    exception surfaces with its traceback.
+    """
+    report = AnalysisReport()
+    try:
+        findings = _run_stages(stages, contexts, config, index, report,
+                               process="child")
+        conn.send((findings, report.stage_stats))
+    finally:
+        conn.close()
+
+
+def _fork_child(stages: list[str], contexts: list[ModuleContext],
+                config: AnalysisConfig, index):
+    """(process, pipe) of a child running ``stages``, or None when
+    forking does not pay or is not possible on this host."""
+    if (not stages or len(contexts) < _PARALLEL_THRESHOLD
+            or (os.cpu_count() or 1) < 2
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    mp = multiprocessing.get_context("fork")
+    parent_conn, child_conn = mp.Pipe(duplex=False)
+    proc = mp.Process(target=_child,
+                      args=(child_conn, stages, contexts, config, index),
+                      daemon=True)
+    proc.start()
+    child_conn.close()
+    return proc, parent_conn
+
+
+def _join_child(child) -> tuple[list[Finding], dict] | None:
+    """The child's (findings, stage clocks), or None if it died silently."""
+    proc, conn = child
+    try:
+        reply = conn.recv()
+    except EOFError:
+        reply = None
+    conn.close()
+    proc.join()
+    return reply
+
+
 def analyze_paths(paths: list[Path] | list[str],
                   config: AnalysisConfig | None = None,
                   baseline: dict[str, int] | None = None,
                   *, taint: bool = False, det: bool = False,
-                  contract: bool = False, sc: bool = False,
-                  jobs: int | None = None) -> AnalysisReport:
+                  contract: bool = False, sc: bool = False) -> AnalysisReport:
     """Run every enabled rule over the Python files under ``paths``.
 
     ``taint=True`` additionally runs the interprocedural secret-flow
@@ -205,136 +253,61 @@ def analyze_paths(paths: list[Path] | list[str],
     the determinism & shard-isolation pass (DT6xx/RC61x);
     ``contract=True`` runs the wire-contract conformance pass (CT7xx)
     and records the canonical payload on the report; ``sc=True`` runs
-    the constant-time / side-channel pass (SC8xx).  The project passes
-    share one symbol table.  ``jobs`` forces a worker count for the
-    per-file scan (default: automatic — sequential for small trees, up
-    to 8 processes for large ones).
+    the constant-time / side-channel pass (SC8xx).  Every stage shares
+    one parse and one symbol index.
     """
     config = config if config is not None else AnalysisConfig.default()
     report = AnalysisReport()
+    stages = _requested(taint, det, contract, sc)
+
+    started = time.perf_counter()
     file_paths = iter_python_files([Path(p) for p in paths])
-    payloads = [(str(p), _display_path(p), config) for p in file_paths]
-    workers = _effective_jobs(jobs, len(file_paths))
-    project = taint or det or contract or sc
+    contexts, errors = build_contexts(file_paths)
+    index = None
+    if stages:
+        from .taint.symbols import build_index
+        index = build_index(contexts)
+    report.stage_stats["parse"] = {
+        "elapsed_s": time.perf_counter() - started, "process": "parent"}
 
-    contexts: list[ModuleContext] = []
-    if project:
-        contexts, _ = build_contexts(file_paths)  # errors already reported
+    child_stages = [stage for stage in stages if stage in _CHILD_STAGES]
+    child = _fork_child(child_stages, contexts, config, index)
 
-    # Multiple project passes on a big tree: fork the determinism and
-    # side-channel passes off first (before any pool exists), so they
-    # overlap the parent's taint run and the per-module scan.  Small
-    # trees stay single-process, and so do single-core hosts — each
-    # child rebuilds the symbol index, which only pays for itself when
-    # the passes genuinely run concurrently.
-    can_fork = (taint and len(file_paths) >= _PARALLEL_THRESHOLD
-                and (os.cpu_count() or 1) >= 2
-                and "fork" in multiprocessing.get_all_start_methods())
-    forkable = {}
-    if det:
-        from .determinism import run_det
-        forkable["det"] = run_det
-    if sc:
-        from .sidechannel import run_sc
-        forkable["sc"] = run_sc
-    forked = {}
-    if can_fork:
-        mp = multiprocessing.get_context("fork")
-        for stage, run_pass in forkable.items():
-            parent_conn, child_conn = mp.Pipe(duplex=False)
-            proc = mp.Process(target=_stage_worker,
-                              args=(child_conn, run_pass, contexts, config),
-                              daemon=True)
-            proc.start()
-            child_conn.close()
-            forked[stage] = (proc, parent_conn)
-
-    def forked_stage(stage: str, index) -> list[Finding]:
-        """Collect a forked pass's findings, or re-run it inline when it
-        was never forked, failed, or its child died."""
-        started = time.perf_counter()
-        findings: list[Finding] | None = None
-        elapsed = 0.0
-        if stage in forked:
-            proc, conn = forked[stage]
-            try:
-                status, payload, elapsed = conn.recv()
-                if status == "ok":
-                    findings = payload
-            except EOFError:
-                pass  # child died: re-run inline
-            proc.join()
-        if findings is None:
-            findings = forkable[stage](contexts, config, index=index)
-            elapsed = time.perf_counter() - started
-        report.stage_stats[stage] = {"elapsed_s": elapsed}
-        return findings
-
-    def project_passes() -> list[Finding]:
-        found: list[Finding] = []
-        index = None
-        if taint:
-            started = time.perf_counter()
-            from .taint import TaintAnalysis
-            analysis = TaintAnalysis(contexts, config)
-            found.extend(analysis.run())
-            report.taint_ran = True
-            index = analysis.index
-            report.stage_stats["taint"] = {
-                "elapsed_s": time.perf_counter() - started}
-        if det:
-            found.extend(forked_stage("det", index))
-            report.det_ran = True
-        if contract:
-            started = time.perf_counter()
-            from .contract import run_contract
-            ct_findings, payload = run_contract(contexts, config,
-                                                index=index)
-            found.extend(ct_findings)
-            report.contract_ran = True
-            report.contract_payload = payload
-            report.stage_stats["contract"] = {
-                "elapsed_s": time.perf_counter() - started}
-        if sc:
-            found.extend(forked_stage("sc", index))
-            report.sc_ran = True
-        return found
-
-    interproc: list[Finding] | None = None
-    scan_started = time.perf_counter()
-    if workers > 1:
-        chunk = max(1, len(payloads) // (workers * 4))
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                scan_iter = pool.map(_scan_worker, payloads,
-                                     chunksize=chunk)
-                # The pool grinds the per-module rules while the parent
-                # runs the project-wide passes; collect afterwards.
-                if project:
-                    interproc = project_passes()
-                results = list(scan_iter)
-        except BrokenProcessPool:
-            # A worker died outright (OOM kill, unpicklable crash).  The
-            # scan itself is pure, so fall back to a sequential pass that
-            # can attribute any failure to the file that caused it.
-            results = [_scan_worker(payload) for payload in payloads]
-    else:
-        results = [_scan_worker(payload) for payload in payloads]
-    report.stage_stats["lint"] = {
-        "elapsed_s": time.perf_counter() - scan_started}
-    if interproc is None and project:
-        interproc = project_passes()
-
+    started = time.perf_counter()
+    rules = _module_rules(config)
     raw_findings: list[Finding] = []
-    for result in results:  # submission order: deterministic
-        if result["error"] is not None:
-            report.parse_errors.append((result["display"], result["error"]))
+    for ctx in contexts:
+        try:
+            findings, suppressed = _lint_module(ctx, rules, config)
+        except Exception as exc:  # trust-lint: disable=RB301
+            # A rule crash must not abort the whole run: surface the
+            # file it died on as a parse-style error and keep scanning.
+            errors.append((ctx.display_path,
+                           f"rule crash: {type(exc).__name__}: {exc}"))
             continue
         report.files_scanned += 1
-        report.suppressed_count += result["suppressed"]
-        raw_findings.extend(result["findings"])
-    if interproc:
-        raw_findings.extend(interproc)
+        report.suppressed_count += suppressed
+        raw_findings.extend(findings)
+    report.stage_stats["lint"] = {
+        "elapsed_s": time.perf_counter() - started, "process": "parent"}
+
+    parent_stages = stages if child is None else [
+        stage for stage in stages if stage not in child_stages]
+    raw_findings.extend(_run_stages(parent_stages, contexts, config, index,
+                                    report))
+    if child is not None:
+        reply = _join_child(child)
+        if reply is None:  # the child died: run its stages here
+            raw_findings.extend(_run_stages(child_stages, contexts, config,
+                                            index, report))
+        else:
+            raw_findings.extend(reply[0])
+            report.stage_stats.update(reply[1])
+    report.stage_stats = {stage: report.stage_stats[stage]
+                          for stage in STAGES if stage in report.stage_stats}
+
+    order = {_display_path(path): rank for rank, path in enumerate(file_paths)}
+    report.parse_errors = sorted(errors, key=lambda error: order[error[0]])
     raw_findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     if baseline:
         new_findings, baselined = apply_baseline(raw_findings, baseline)
@@ -365,40 +338,22 @@ def analyze_sources(sources: dict[str, str],
 
     The multi-module form exists for taint fixtures: cross-module flows
     need every module in one index.  ``is_package`` applies to modules
-    whose source should be treated as a package ``__init__``.
+    whose source should be treated as a package ``__init__``.  Runs
+    in-process, and a rule crash propagates.
     """
     config = config if config is not None else AnalysisConfig.default()
-    contexts = []
-    for module, source in sources.items():
-        contexts.append(ModuleContext.build(
-            Path(f"{module}.py"), f"{module}.py", module, source,
-            is_package=is_package))
+    contexts = [ModuleContext.build(Path(f"{module}.py"), f"{module}.py",
+                                    module, source, is_package=is_package)
+                for module, source in sources.items()]
+    rules = _module_rules(config)
     findings: list[Finding] = []
     for ctx in contexts:
-        for rule in all_rules():
-            if isinstance(rule, ProjectRule):
-                continue
-            if not config.rule_enabled(rule.id):
-                continue
-            for finding in rule.check(ctx, config):
-                if not ctx.is_suppressed(finding.rule, finding.line):
-                    findings.append(finding)
-    index = None
-    if taint:
-        from .taint import TaintAnalysis
-        analysis = TaintAnalysis(contexts, config)
-        findings.extend(analysis.run())
-        index = analysis.index
-    if det:
-        from .determinism import run_det
-        findings.extend(run_det(contexts, config, index=index))
-    if contract:
-        from .contract import run_contract
-        ct_findings, _ = run_contract(contexts, config, index=index)
-        findings.extend(ct_findings)
-    if sc:
-        from .sidechannel import run_sc
-        findings.extend(run_sc(contexts, config, index=index))
+        findings.extend(_lint_module(ctx, rules, config)[0])
+    stages = _requested(taint, det, contract, sc)
+    if stages:
+        from .taint.symbols import build_index
+        findings.extend(_run_stages(stages, contexts, config,
+                                    build_index(contexts), AnalysisReport()))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

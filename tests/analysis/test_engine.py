@@ -170,6 +170,60 @@ class TestConfig:
         with pytest.raises(ValueError, match="typo-option"):
             AnalysisConfig.from_pyproject(pyproject)
 
+    def test_every_documented_key_round_trips_to_its_field(self):
+        import dataclasses
+        import re
+
+        from repro.analysis.config import _OPTIONS
+
+        items = re.split(r"\n\s*- ", AnalysisConfig.from_pyproject.__doc__)
+        documented = {}
+        for item in items[1:]:
+            table, *keys = re.findall(r"``([^`]+)``(?:\s+\((\w+))?", item)
+            sub = table[0].strip("[]").removeprefix("tool.trust-lint")
+            for key, kind in keys:
+                documented[sub.lstrip("."), key] = kind
+        assert set(documented) == set(_OPTIONS)
+
+        default = AnalysisConfig.default()
+        samples = {"int": 7, "bool": False, "str": "zz/sample"}
+        for (sub, key), kind in documented.items():
+            sample = samples.get(kind, ["Zz.Sample"])
+            config = default.with_overrides(
+                {sub: {key: sample}} if sub else {key: sample})
+            (name,) = [f.name for f in dataclasses.fields(config)
+                       if getattr(config, f.name) != getattr(default, f.name)]
+            stem = key.removeprefix("extend-").replace("-", "_")
+            assert name.startswith(sub) and stem in name, (sub, key, name)
+            old, new = getattr(default, name), getattr(config, name)
+            if key.startswith("extend-"):
+                assert new[:len(old)] == old
+                assert new[len(old):] in (("Zz.Sample",), ("zz.sample",))
+            elif isinstance(sample, list):
+                assert new in (("Zz.Sample",), ("zz.sample",))
+            else:
+                assert new == sample
+
+    def test_unknown_subtable_option_is_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown \[tool\.trust-lint"
+                                             r"\.sc\] options: \['typo'\]"):
+            AnalysisConfig.default().with_overrides({"sc": {"typo": 1}})
+
+    def test_repo_and_corpus_policies_load(self, tmp_path):
+        import tarfile
+
+        root = Path(__file__).resolve().parents[2]
+        repo = AnalysisConfig.from_pyproject(root / "pyproject.toml")
+        with tarfile.open(root / "perfbench" / "corpus.tar.xz") as archive:
+            (tmp_path / "pyproject.toml").write_bytes(
+                archive.extractfile("pyproject.toml").read())
+        corpus = AnalysisConfig.from_pyproject(tmp_path / "pyproject.toml")
+        for config in (repo, corpus):
+            assert config.det_exempt_modules == ("repro.analysis",)
+            assert "has_*" in config.sc_public_patterns
+            assert config.contract_golden == \
+                "benchmarks/results/contract.json"
+
     def test_secret_name_matching(self):
         config = AnalysisConfig.default()
         assert config.is_secret_name("session_key")
@@ -190,7 +244,7 @@ class TestConfig:
 
 
 class TestWorkerRobustness:
-    """A crashing rule or a dead worker pool must not abort the scan."""
+    """A crashing rule or a dead child must not abort the scan."""
 
     def test_rule_crash_surfaces_file_and_keeps_scanning(self, tmp_path,
                                                          monkeypatch):
@@ -207,7 +261,7 @@ class TestWorkerRobustness:
             yield from original(self, ctx, config)
 
         monkeypatch.setattr(StdlibRandomInCrypto, "check", exploding)
-        report = analyze_paths([tmp_path], jobs=1)
+        report = analyze_paths([tmp_path])
         # The crash is attributed to the file it died on...
         (crashed,) = [(display, message)
                       for display, message in report.parse_errors
@@ -228,39 +282,32 @@ class TestWorkerRobustness:
             yield  # pragma: no cover
 
         monkeypatch.setattr(StdlibRandomInCrypto, "check", exploding)
-        report = analyze_paths([tmp_path], jobs=1)
+        report = analyze_paths([tmp_path])
         assert report.parse_errors
-        # Even the laxest threshold cannot mask a crashed worker.
+        # Even the laxest threshold cannot mask a crashed rule.
         assert _exit_code(report, "error") == 1
 
-    def test_broken_pool_falls_back_to_sequential(self, tmp_path,
-                                                  monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
+    def test_crashes_and_syntax_errors_keep_file_order(self, tmp_path,
+                                                       monkeypatch):
+        from repro.analysis.rules.crypto_discipline import StdlibRandomInCrypto
 
-        from repro.analysis import engine
+        _write_pkg(tmp_path, "repro.crypto", "a_crashy", "x = 1\n")
+        _write_pkg(tmp_path, "repro.crypto", "b_broken", "def f(:\n")
+        _write_pkg(tmp_path, "repro.crypto", "c_crashy", "x = 1\n")
 
-        _write_pkg(tmp_path, "repro.crypto", "badmod", "import random\n")
+        def exploding(self, ctx, config):
+            if "crashy" in ctx.module:
+                raise RuntimeError("boom")
+            yield from ()
 
-        class DyingPool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads, chunksize=1):
-                raise BrokenProcessPool("worker died")
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", DyingPool)
-        report = analyze_paths([tmp_path], jobs=2)
-        assert not report.parse_errors
-        assert any(f.rule == "CD201" for f in report.findings)
+        monkeypatch.setattr(StdlibRandomInCrypto, "check", exploding)
+        report = analyze_paths([tmp_path])
+        assert [Path(display).stem for display, _ in report.parse_errors] \
+            == ["a_crashy", "b_broken", "c_crashy"]
+        assert report.files_scanned == 2  # the two __init__ files
 
     def _forkable_tree(self, tmp_path):
-        """Enough files to fork the det/sc passes, one finding each."""
+        """Enough modules to fork; lint, taint, det and sc findings."""
         for index in range(24):
             _write_pkg(tmp_path, "repro.util", f"filler{index}", "x = 1\n")
         _write_pkg(tmp_path, "repro.runtime", "clock", """
@@ -270,11 +317,61 @@ class TestWorkerRobustness:
                 return time.time()
         """)
         _write_pkg(tmp_path, "repro.crypto", "route", """
+            import random
+
             def route(session_key):
                 if session_key:
                     return 1
                 return 0
         """)
+        _write_pkg(tmp_path, "repro.net", "leaky", """
+            def leak(device):
+                alias = device.session_key
+                print(alias)
+        """)
+
+    def _record_calls(self, monkeypatch, log: Path) -> None:
+        """Append one line per module parse and per index build to
+        ``log``, from whichever process makes the call."""
+        from repro.analysis.core import ModuleContext
+        from repro.analysis.taint.symbols import ProjectIndex
+
+        build = ModuleContext.build.__func__
+        init = ProjectIndex.__init__
+
+        def counted_build(cls, path, *args, **kwargs):
+            with log.open("a") as handle:
+                handle.write(f"parse {path}\n")
+            return build(cls, path, *args, **kwargs)
+
+        def counted_init(self):
+            with log.open("a") as handle:
+                handle.write("index\n")
+            init(self)
+
+        monkeypatch.setattr(ModuleContext, "build",
+                            classmethod(counted_build))
+        monkeypatch.setattr(ProjectIndex, "__init__", counted_init)
+
+    def test_six_stage_run_parses_once_and_indexes_once(self, tmp_path,
+                                                        monkeypatch):
+        from repro.analysis import engine
+        from repro.analysis.engine import iter_python_files
+
+        tree, log = tmp_path / "tree", tmp_path / "calls.log"
+        tree.mkdir()
+        self._forkable_tree(tree)
+        files = iter_python_files([tree])
+        assert len(files) >= 24
+        self._record_calls(monkeypatch, log)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        report = analyze_paths([tree], taint=True, det=True,
+                               contract=True, sc=True)
+        lines = log.read_text().splitlines()
+        assert sorted(line for line in lines if line.startswith("parse")) \
+            == sorted(f"parse {path}" for path in files)
+        assert lines.count("index") == 1
+        assert report.stage_stats["det"]["process"] == "child"
 
     @pytest.mark.parametrize("child_dies", [False, True])
     def test_forked_stages_match_inline_run(self, tmp_path, monkeypatch,
@@ -287,28 +384,48 @@ class TestWorkerRobustness:
         tree.mkdir()
         markers.mkdir()
         self._forkable_tree(tree)
-        inline = analyze_paths([tree], taint=True, det=True, sc=True,
-                               jobs=1)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+        inline = analyze_paths([tree], taint=True, det=True, sc=True)
         assert {"DT601", "SC800"} <= {f.rule for f in inline.findings}
 
         parent = os.getpid()
-        real_worker = engine._stage_worker
+        real_child = engine._child
 
-        def worker(conn, run_pass, contexts, config):
-            (markers / run_pass.__name__).write_text(
-                str(os.getpid() != parent))
+        def child(conn, stages, *args):
+            (markers / str(os.getpid())).write_text(" ".join(stages))
             if child_dies:
-                os._exit(1)  # no reply: the parent must re-run inline
-            real_worker(conn, run_pass, contexts, config)
+                os._exit(1)  # no reply: the parent must re-run in-process
+            real_child(conn, stages, *args)
 
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(engine, "_stage_worker", worker)
-        forked = analyze_paths([tree], taint=True, det=True, sc=True,
-                               jobs=1)
-        # Both passes ran in forked children...
-        assert {p.name: p.read_text() for p in markers.iterdir()} \
-            == {"run_det": "True", "run_sc": "True"}
+        monkeypatch.setattr(engine, "_child", child)
+        forked = analyze_paths([tree], taint=True, det=True, sc=True)
+        # One forked child ran both det and sc...
+        (marker,) = markers.iterdir()
+        assert int(marker.name) != parent
+        assert marker.read_text() == "det sc"
         # ...and the parent's report is the inline one either way.
         assert forked.findings == inline.findings
-        assert forked.det_ran and forked.sc_ran
-        assert set(forked.stage_stats) == set(inline.stage_stats)
+        assert list(forked.stage_stats) == list(inline.stage_stats) \
+            == ["parse", "lint", "taint", "det", "sc"]
+        process = "parent" if child_dies else "child"
+        assert forked.stage_stats["sc"]["process"] == process
+
+    def test_forked_run_matches_single_cpu_run(self, tmp_path, monkeypatch):
+        from repro.analysis import engine
+
+        self._forkable_tree(tmp_path)
+        stages = dict(taint=True, det=True, contract=True, sc=True)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        forked = analyze_paths([tmp_path], **stages)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+        single = analyze_paths([tmp_path], **stages)
+        assert {entry["process"] for entry in forked.stage_stats.values()} \
+            == {"parent", "child"}
+        assert {entry["process"] for entry in single.stage_stats.values()} \
+            == {"parent"}
+        assert {"CD201", "DT601", "SC800", "SF110"} \
+            <= {f.rule for f in forked.findings}
+        assert ([f.fingerprint() for f in forked.findings]
+                == [f.fingerprint() for f in single.findings])
+        assert forked.contract_payload == single.contract_payload

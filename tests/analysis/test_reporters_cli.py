@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import textwrap
 
+import pytest
+
 from repro.analysis import (analyze_paths, render_json, render_sarif,
                             render_text)
 from repro.analysis.cli import main
@@ -167,14 +169,12 @@ class TestCli:
         assert sarif["version"] == "2.1.0"
         assert sarif["runs"][0]["results"][0]["ruleId"] == "CD201"
 
-    def test_jobs_flag_is_deterministic(self, tmp_path):
-        for i in range(6):
-            _plant(tmp_path, name=f"badmod{i}")
-        seq = analyze_paths([tmp_path], jobs=1)
-        par = analyze_paths([tmp_path], jobs=2)
-        assert ([f.fingerprint() for f in seq.findings]
-                == [f.fingerprint() for f in par.findings])
-        assert len(seq.findings) == 6
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
+        _plant(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(tmp_path), "--no-config", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_graph_subcommand(self, tmp_path, capsys):
         _plant(tmp_path, "from repro.net import callee\n\n"
